@@ -176,7 +176,8 @@ pub fn to_json(rows: &[ClusterRow], scale: usize, threads: usize) -> String {
             out,
             "    {{\"app\": \"{}\", \"rows\": {}, \"nodes\": {}, \"scenario\": \"{}\", \
              \"identical\": {}, \"ok\": {}, \"secs\": {:.4}, \"single_node_secs\": {:.4}, \
-             \"cluster_loops\": {}, \"coordinator_loops\": {}, \"shuffles\": {}, \"tasks\": {}, \
+             \"cluster_loops\": {}, \"coordinator_loops\": {}, \"batched_loops\": {}, \
+             \"treewalk_loops\": {}, \"shuffles\": {}, \"tasks\": {}, \
              \"staged_values\": {}, \"halo_exchanges\": {}, \"speculative_tasks\": {}, \
              \"lineage_recoveries\": {}, \"node_deaths\": {}, \"sends\": {}, \"send_bytes\": {}, \
              \"link_retries\": {}, \"network_nanos_model\": {}}}{}",
@@ -190,6 +191,8 @@ pub fn to_json(rows: &[ClusterRow], scale: usize, threads: usize) -> String {
             r.single_secs,
             r.report.cluster_loops,
             r.report.coordinator_loops,
+            r.report.batched_loops,
+            r.report.treewalk_loops,
             r.report.shuffles,
             r.report.tasks,
             r.report.staged_values,

@@ -11,13 +11,15 @@
 //! stragglers, and drains a real shuffle phase for bucket generators.
 //!
 //! Bit-identity with the single-node tiers is structural, not accidental:
-//! nodes execute tasks with the tree-walking interpreter over the *same*
-//! blind task plan as the single-node chunked executor, per-task
-//! accumulators fold in ascending task order through the same
-//! [`merge_pair`] merge, and shuffled buckets reassemble in global
-//! first-seen key order. The differential tests and the cluster chaos
-//! gate in `bench` pin this equality under injected node deaths, link
-//! flakes, and speculation.
+//! the coordinator compiles each epoch's loop once and ships the kernel
+//! with its tasks, nodes run it through the same batched task step as
+//! the single-node chunked executor over the *same* blind task plan, the
+//! typed per-task accumulators fold in ascending task order through the
+//! same kernel merge, and shuffled buckets reassemble in global
+//! first-seen key order. Loops the kernel compiler declines run on the
+//! tree-walker instead, folded through [`merge_pair`]. The differential
+//! tests and the cluster chaos gate in `bench` pin this equality under
+//! injected node deaths, link flakes, and speculation.
 
 // Same contract as `parallel.rs`: `ExecError` embeds the partial
 // `ExecReport` inline in its abort variants, and the Err path only fires
@@ -25,9 +27,13 @@
 // an allocation and break the by-value contract.
 #![allow(clippy::result_large_err)]
 
+use crate::compile::{ColBuf, KAcc, KState, Kernel, KeyIx, RedBuf};
 use crate::error::{EvalError, ExecError};
 use crate::eval::{Acc, Env, Interp};
-use crate::parallel::{interp_eval_size, loop_touched_slots, merge_pair, plan_tasks, ExecReport};
+use crate::parallel::{
+    execute_chunk, execute_chunk_kernel, interp_eval_size, loop_touched_slots, merge_pair,
+    plan_tasks, ChunkFailure, ExecReport, KernelState, ScratchEnv,
+};
 use crate::stats;
 use crate::value::{ArrayVal, Key, Value};
 use dmll_core::{Def, Gen, Multiloop, Program, Sym};
@@ -35,9 +41,10 @@ use dmll_runtime::{
     Chunk, ClusterPlane, ClusterSpec, FaultInjector, FaultPlan, LoopPlan, Placement, ProgramPlan,
     RetryPolicy, RuntimeError, SchedulePlan, SpeculationPolicy,
 };
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -154,6 +161,14 @@ pub struct ClusterReport {
     pub cluster_loops: u64,
     /// Small loops run in place on the coordinator.
     pub coordinator_loops: u64,
+    /// Top-level loops executed on the compiled bytecode tier, on the
+    /// nodes or in place on the coordinator.
+    pub compiled_loops: u64,
+    /// Top-level loops executed on the tree-walking tier.
+    pub treewalk_loops: u64,
+    /// Cluster loops whose node tasks ran block-at-a-time (subset of
+    /// `compiled_loops`; in-place coordinator loops are not counted here).
+    pub batched_loops: u64,
     /// Cluster loops that drained a shuffle phase (bucket generators).
     pub shuffles: u64,
     /// Tasks dispatched to nodes (primaries only; speculative clones and
@@ -225,19 +240,23 @@ pub fn eval_cluster_measured(
 enum NodeMsg {
     /// Bind `value` into the node's persistent environment at `slot`.
     Stage { slot: usize, value: Value },
-    /// Run `tasks` of loop `loop_idx`; `patches` overlay staged slots for
+    /// Run `tasks` of loop `loop_idx` on `kernel` (the tree-walker when
+    /// the loop did not compile); `patches` overlay staged slots for
     /// speculative clones and lineage re-execution without clobbering the
     /// node's own windows.
     Execute {
         loop_idx: usize,
+        kernel: Option<Arc<Kernel>>,
         tasks: Vec<(usize, (i64, i64))>,
         patches: Vec<(usize, Value)>,
     },
     /// Drain the shuffle for loop `loop_idx`: emit held accs for `emit`
-    /// tasks, exchange bucket items with `participants`, owner-merge, and
-    /// report to the coordinator.
+    /// tasks, exchange bucket items with `participants`, owner-merge with
+    /// `kernel`'s reducers (the tree-walker's without one), and report to
+    /// the coordinator.
     Shuffle {
         loop_idx: usize,
+        kernel: Option<Arc<Kernel>>,
         participants: Vec<usize>,
         emit: Vec<usize>,
     },
@@ -262,8 +281,54 @@ struct PeerItem {
     val: PeerVal,
 }
 
+/// One generator's accumulator for one task, from the tier that ran it.
+enum NodeAcc {
+    Kernel(KAcc),
+    Tree(Acc),
+}
+
+impl NodeAcc {
+    /// A bucket accumulator's keyed entries in first-seen order: the
+    /// shuffle boundary is the only place kernel buckets are boxed. Plain
+    /// accumulators come back unchanged as `Err`.
+    fn into_buckets(self) -> Result<Vec<(Value, PeerVal)>, NodeAcc> {
+        Ok(match self {
+            NodeAcc::Tree(Acc::BucketReduce { keys, vals, .. }) => keys
+                .into_iter()
+                .zip(vals.into_iter().map(PeerVal::Reduced))
+                .collect(),
+            NodeAcc::Tree(Acc::BucketCollect { keys, vals, .. }) => keys
+                .into_iter()
+                .zip(vals.into_iter().map(PeerVal::Collected))
+                .collect(),
+            NodeAcc::Kernel(KAcc::BRed { keys, vals }) => keys
+                .into_values()
+                .into_iter()
+                .zip(vals.into_values().into_iter().map(PeerVal::Reduced))
+                .collect(),
+            NodeAcc::Kernel(KAcc::BCol { keys, vals }) => keys
+                .into_values()
+                .into_iter()
+                .zip(
+                    vals.into_iter()
+                        .map(|c| PeerVal::Collected(c.into_values())),
+                )
+                .collect(),
+            plain => return Err(plain),
+        })
+    }
+
+    /// Estimated wire size in flight to the coordinator: the same charge
+    /// whichever tier produced it.
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            NodeAcc::Tree(acc) => acc_bytes(acc),
+            NodeAcc::Kernel(acc) => kacc_bytes(acc),
+        }
+    }
+}
+
 /// Bucket payload: a reduced value or a collected run.
-#[derive(Clone)]
 enum PeerVal {
     Reduced(Value),
     Collected(Vec<Value>),
@@ -298,7 +363,7 @@ enum FromNode {
     ShuffleDone {
         node: usize,
         loop_idx: usize,
-        plain: Vec<(usize, Vec<(usize, Acc)>)>,
+        plain: Vec<(usize, Vec<(usize, NodeAcc)>)>,
         merged: Vec<(usize, Vec<MergedBucket>)>,
     },
     /// `node` hit an unrecoverable error.
@@ -315,6 +380,11 @@ enum FromNode {
 enum NodeError {
     Eval(EvalError),
     Runtime(RuntimeError),
+    /// Task `task` panicked; the panic was caught on the node.
+    Died {
+        task: usize,
+        message: String,
+    },
     /// A peer exchange stalled past the watchdog; surfaced as a deadline
     /// abort (the reason string documents the stalled phase at the site).
     Stalled(#[allow(dead_code)] &'static str),
@@ -431,7 +501,12 @@ fn drive(
                     // Same threshold as the single-node supervised path:
                     // not worth sharding, run on the coordinator's tiers.
                     report.coordinator_loops += 1;
-                    let (out, _compiled) = interp.eval_loop_tiered(ml, env, true, true, false)?;
+                    let (out, compiled) = interp.eval_loop_tiered(ml, env, true, true, false)?;
+                    if compiled {
+                        report.compiled_loops += 1;
+                    } else {
+                        report.treewalk_loops += 1;
+                    }
                     out
                 } else {
                     run_epoch(
@@ -609,6 +684,14 @@ fn run_epoch(
     }
 
     // --- Dispatch ------------------------------------------------------
+    // One compile per epoch on the coordinator's full environment; every
+    // node, clone and recovery runs this very kernel, so task results are
+    // bit-identical wherever they ran.
+    let kernel = interp.kernel_for(ml, env);
+    if let Some(reason) = kernel.as_ref().and_then(|k| k.batch_reject) {
+        stats::record_batch_ineligible(reason);
+    }
+    let exec_t0 = Instant::now();
     for &n in &participants {
         if node_tasks[n].is_empty() {
             continue;
@@ -619,6 +702,7 @@ fn run_epoch(
             .map_err(ExecError::from)?;
         let _ = to_nodes[n].send(NodeMsg::Execute {
             loop_idx,
+            kernel: kernel.clone(),
             tasks: node_tasks[n].clone(),
             patches: Vec::new(),
         });
@@ -698,6 +782,7 @@ fn run_epoch(
                         .map_err(ExecError::from)?;
                     let _ = to_nodes[target].send(NodeMsg::Execute {
                         loop_idx,
+                        kernel: kernel.clone(),
                         tasks: vec![(t, tasks[t])],
                         patches,
                     });
@@ -765,6 +850,7 @@ fn run_epoch(
                 .map_err(ExecError::from)?;
             let _ = to_nodes[chunk.node].send(NodeMsg::Execute {
                 loop_idx,
+                kernel: kernel.clone(),
                 tasks: vec![(t, tasks[t])],
                 patches,
             });
@@ -809,11 +895,7 @@ fn run_epoch(
     // --- Shuffle -------------------------------------------------------
     report.cluster_loops += 1;
     stats::record_cluster_loop();
-    let bucketed = ml
-        .gens
-        .iter()
-        .any(|g| matches!(g, Gen::BucketCollect { .. } | Gen::BucketReduce { .. }));
-    if bucketed {
+    if ml.gens.iter().any(is_bucket) {
         report.shuffles += 1;
         stats::record_cluster_shuffle();
     }
@@ -832,12 +914,13 @@ fn run_epoch(
             .map_err(ExecError::from)?;
         let _ = to_nodes[n].send(NodeMsg::Shuffle {
             loop_idx,
+            kernel: kernel.clone(),
             participants: survivors.clone(),
             emit: emit[n].clone(),
         });
     }
 
-    let mut per_gen_plain: Vec<BTreeMap<usize, Acc>> =
+    let mut per_gen_plain: Vec<BTreeMap<usize, NodeAcc>> =
         (0..ml.gens.len()).map(|_| BTreeMap::new()).collect();
     let mut merged_all: Vec<Vec<MergedBucket>> = (0..ml.gens.len()).map(|_| Vec::new()).collect();
     let mut waiting: BTreeSet<usize> = survivors.iter().copied().collect();
@@ -876,28 +959,87 @@ fn run_epoch(
     }
 
     // --- Assemble ------------------------------------------------------
+    // Plain generators fold in ascending task order on the tier the nodes
+    // ran, exactly like the single-node blind fold: typed kernel merges on
+    // a coordinator register state, so no element is boxed.
+    let mut st = kernel
+        .as_ref()
+        .map(|k| k.new_state(env, interp.externs()))
+        .transpose()?;
     let mut outs = Vec::with_capacity(ml.gens.len());
     for (gi, gen) in ml.gens.iter().enumerate() {
-        let acc = if matches!(gen, Gen::BucketCollect { .. } | Gen::BucketReduce { .. }) {
+        let plain = std::mem::take(&mut per_gen_plain[gi]);
+        let out = if is_bucket(gen) {
             let mut mks = std::mem::take(&mut merged_all[gi]);
             // (first_task, first_pos) is the order a sequential walk first
             // sees each key, so the rebuilt bucket order is bit-identical
             // to the single-node tiers.
             mks.sort_by_key(|m| (m.first_task, m.first_pos));
-            rebuild_acc(gen, mks)?
+            let acc = rebuild_acc(gen, mks)?;
+            interp.seal_acc_owned(gen, acc, env)?
+        } else if let (Some(k), Some(st)) = (&kernel, st.as_mut()) {
+            fold_kernel(k, gi, plain, st)?
         } else {
             let mut folded: Option<Acc> = None;
-            for (_t, acc) in std::mem::take(&mut per_gen_plain[gi]) {
+            for (_t, acc) in plain {
+                let NodeAcc::Tree(acc) = acc else {
+                    return Err(tier_mismatch().into());
+                };
                 folded = Some(match folded {
                     None => acc,
                     Some(f) => merge_pair(interp, gen, f, acc, env)?,
                 });
             }
-            folded.unwrap_or_else(|| Acc::for_gen(gen))
+            interp.seal_acc_owned(gen, folded.unwrap_or_else(|| Acc::for_gen(gen)), env)?
         };
-        outs.push(interp.seal_acc_owned(gen, acc, env)?);
+        outs.push(out);
+    }
+
+    let dt = exec_t0.elapsed();
+    let elements = size.max(0) as u64;
+    match &kernel {
+        Some(k) => {
+            stats::record_compiled(elements, dt);
+            report.compiled_loops += 1;
+            if k.batchable {
+                stats::record_batched(elements, dt);
+                report.batched_loops += 1;
+            }
+        }
+        None => {
+            stats::record_treewalk(elements, dt);
+            report.treewalk_loops += 1;
+        }
     }
     Ok(outs)
+}
+
+/// Fold one plain generator's typed per-task accumulators in ascending
+/// task order with the kernel's merge, then seal it.
+fn fold_kernel(
+    kernel: &Kernel,
+    gi: usize,
+    accs: BTreeMap<usize, NodeAcc>,
+    st: &mut KState,
+) -> Result<Value, EvalError> {
+    let mut folded: Option<KAcc> = None;
+    for (_t, acc) in accs {
+        let NodeAcc::Kernel(acc) = acc else {
+            return Err(tier_mismatch());
+        };
+        folded = Some(match folded {
+            None => acc,
+            Some(f) => kernel.merge(gi, f, acc, st)?,
+        });
+    }
+    let acc = folded.unwrap_or_else(|| KAcc::for_gen(&kernel.gens[gi], 0));
+    kernel.seal_gen_value(gi, acc, st)
+}
+
+/// Every node runs the kernel the coordinator shipped, so a task result
+/// from the other tier is a protocol violation.
+fn tier_mismatch() -> EvalError {
+    EvalError::TypeMismatch("cluster task accumulators from mixed execution tiers".into())
 }
 
 /// The node thread: stage, execute, shuffle against its own interpreter
@@ -928,7 +1070,17 @@ fn node_main(
     // Task accumulators are keyed by (loop, task): a stale entry from a
     // superseded speculative run in one epoch must never be emitted as a
     // later epoch's result for the same task index.
-    let mut held: BTreeMap<(usize, usize), Vec<Acc>> = BTreeMap::new();
+    let mut held: BTreeMap<(usize, usize), Vec<NodeAcc>> = BTreeMap::new();
+    // The node's kernel register state for its own staged windows, built
+    // by the epoch's first task and reused by the rest of that epoch.
+    let mut epoch_state: Option<KernelState> = None;
+    let mut state_loop = usize::MAX;
+    // Tree-walk scratch environment for loops that did not compile.
+    let mut scratch = ScratchEnv::new(env.len());
+    let no_native = AtomicU64::new(0);
+    // Work units the fault plan fails on every attempt; the task panics
+    // for real, so the caught-panic path is what reports it.
+    let repeat_failures = plane.injector().plan().repeat_failures();
     // Peer items that raced ahead of our own Shuffle message; consumed
     // (and stale ones discarded) when the shuffle for their loop starts.
     let mut early_peers: Vec<(usize, Vec<PeerItem>)> = Vec::new();
@@ -943,6 +1095,7 @@ fn node_main(
             }
             NodeMsg::Execute {
                 loop_idx,
+                kernel,
                 tasks,
                 patches,
             } => {
@@ -957,10 +1110,15 @@ fn node_main(
                 };
                 // Patched runs (speculation, recovery) overlay a clone so
                 // the node's own staged windows stay intact for its
-                // primary tasks.
+                // primary tasks; their kernel state binds the overlay.
                 let mut overlay;
-                let env_ref: &mut Env = if patches.is_empty() {
-                    &mut env
+                let mut patched_state = None;
+                let (env_ref, state): (&Env, &mut Option<KernelState>) = if patches.is_empty() {
+                    if state_loop != loop_idx {
+                        epoch_state = None;
+                        state_loop = loop_idx;
+                    }
+                    (&env, &mut epoch_state)
                 } else {
                     overlay = env.clone();
                     for (slot, v) in patches {
@@ -968,12 +1126,46 @@ fn node_main(
                             overlay[slot] = Some(v);
                         }
                     }
-                    &mut overlay
+                    (&overlay, &mut patched_state)
+                };
+                let (reads, writes) = match &kernel {
+                    Some(_) => (Vec::new(), Vec::new()),
+                    None => loop_touched_slots(ml),
                 };
                 let mut failed = false;
                 for (t, (s, e)) in tasks {
                     let t0 = Instant::now();
-                    match interp.eval_loop_accs_owned(ml, env_ref, s, Some(e)) {
+                    let injected = repeat_failures.contains(&t);
+                    let outcome = match &kernel {
+                        Some(kn) => execute_chunk_kernel(
+                            kn,
+                            env_ref,
+                            interp.externs(),
+                            state,
+                            kn.batchable,
+                            None,
+                            &no_native,
+                            (s, e),
+                            t,
+                            injected,
+                            true,
+                        )
+                        .map(|accs| accs.into_iter().map(NodeAcc::Kernel).collect()),
+                        None => execute_chunk(
+                            &interp,
+                            ml,
+                            env_ref,
+                            &mut scratch,
+                            (s, e),
+                            t,
+                            injected,
+                            true,
+                            &reads,
+                            &writes,
+                        )
+                        .map(|accs| accs.into_iter().map(NodeAcc::Tree).collect()),
+                    };
+                    match outcome {
                         Ok(accs) => {
                             held.insert((loop_idx, t), accs);
                             let mut nanos = t0.elapsed().as_nanos() as u64;
@@ -1004,11 +1196,12 @@ fn node_main(
                                 }
                             }
                         }
-                        Err(e) => {
-                            let _ = coord.send(FromNode::Failed {
-                                node: k,
-                                error: NodeError::Eval(e),
-                            });
+                        Err(failure) => {
+                            let error = match failure {
+                                ChunkFailure::Eval(e) => NodeError::Eval(e),
+                                ChunkFailure::Died(message) => NodeError::Died { task: t, message },
+                            };
+                            let _ = coord.send(FromNode::Failed { node: k, error });
                             failed = true;
                         }
                     }
@@ -1019,6 +1212,7 @@ fn node_main(
             }
             NodeMsg::Shuffle {
                 loop_idx,
+                kernel,
                 participants,
                 emit,
             } => {
@@ -1034,6 +1228,7 @@ fn node_main(
                 if !node_shuffle(
                     k,
                     &interp,
+                    kernel.as_deref(),
                     ml,
                     loop_idx,
                     &mut env,
@@ -1073,10 +1268,11 @@ fn node_main(
 fn node_shuffle(
     k: usize,
     interp: &Interp<'_>,
+    kernel: Option<&Kernel>,
     ml: &Multiloop,
     loop_idx: usize,
     env: &mut Env,
-    held: &mut BTreeMap<(usize, usize), Vec<Acc>>,
+    held: &mut BTreeMap<(usize, usize), Vec<NodeAcc>>,
     early_peers: &mut Vec<(usize, Vec<PeerItem>)>,
     participants: &[usize],
     emit: &[usize],
@@ -1096,13 +1292,8 @@ fn node_shuffle(
     // Partition held bucket entries by key owner; plain accs go straight
     // to the coordinator.
     let mut per_owner: Vec<Vec<PeerItem>> = (0..n_parts).map(|_| Vec::new()).collect();
-    let mut plain: Vec<(usize, Vec<(usize, Acc)>)> = (0..ml.gens.len())
-        .filter(|gi| {
-            !matches!(
-                ml.gens[*gi],
-                Gen::BucketCollect { .. } | Gen::BucketReduce { .. }
-            )
-        })
+    let mut plain: Vec<(usize, Vec<(usize, NodeAcc)>)> = (0..ml.gens.len())
+        .filter(|&gi| !is_bucket(&ml.gens[gi]))
         .map(|gi| (gi, Vec::new()))
         .collect();
     for &t in emit {
@@ -1112,32 +1303,20 @@ fn node_shuffle(
             )));
         };
         for (gi, acc) in accs.into_iter().enumerate() {
-            match acc {
-                Acc::BucketReduce { keys, vals, .. } => {
-                    for (pos, (key, val)) in keys.into_iter().zip(vals).enumerate() {
+            match acc.into_buckets() {
+                Ok(entries) => {
+                    for (pos, (key, val)) in entries.into_iter().enumerate() {
                         let oi = key_owner(&Key(key.clone()), n_parts);
                         per_owner[oi].push(PeerItem {
                             gen: gi,
                             task: t,
                             pos,
                             key,
-                            val: PeerVal::Reduced(val),
+                            val,
                         });
                     }
                 }
-                Acc::BucketCollect { keys, vals, .. } => {
-                    for (pos, (key, val)) in keys.into_iter().zip(vals).enumerate() {
-                        let oi = key_owner(&Key(key.clone()), n_parts);
-                        per_owner[oi].push(PeerItem {
-                            gen: gi,
-                            task: t,
-                            pos,
-                            key,
-                            val: PeerVal::Collected(val),
-                        });
-                    }
-                }
-                other => {
+                Err(other) => {
                     if let Some(slot) = plain.iter_mut().find(|(g, _)| *g == gi) {
                         slot.1.push((t, other));
                     }
@@ -1199,63 +1378,67 @@ fn node_shuffle(
     // mpsc arrival nondeterminism; per-key folds therefore happen in task
     // order, matching the single-node pairwise chunk-order fold.
     gathered.sort_by_key(|it| (it.gen, it.task, it.pos));
-    let mut merged: Vec<(usize, Vec<MergedBucket>)> = Vec::new();
-    let mut gi_start = 0usize;
-    while gi_start < gathered.len() {
-        let gi = gathered[gi_start].gen;
-        let mut end = gi_start;
-        while end < gathered.len() && gathered[end].gen == gi {
-            end += 1;
+    // Reduced payloads fold with the shipped kernel's typed reducer, as
+    // the single-node bucket merge does; loops that did not compile fold
+    // on the tree-walker.
+    let mut kernel_state: Option<KState> = None;
+    let mut reduce = |gi: usize, a: Value, b: Value| match kernel {
+        Some(kn) => {
+            let st = match &mut kernel_state {
+                Some(st) => st,
+                slot @ None => slot.insert(kn.new_state(env, interp.externs())?),
+            };
+            kn.reduce_values(gi, a, b, st)
         }
-        let mut index: HashMap<Key, usize> = HashMap::new();
-        let mut out: Vec<MergedBucket> = Vec::new();
-        for it in &gathered[gi_start..end] {
-            match index.get(&Key(it.key.clone())) {
-                Some(&slot) => {
-                    let cur = &mut out[slot];
-                    match (&mut cur.val, it.val.clone()) {
-                        (PeerVal::Reduced(c), PeerVal::Reduced(v)) => {
-                            let Some(reducer) = ml.gens[gi].reducer() else {
-                                return fail(NodeError::Eval(EvalError::TypeMismatch(
-                                    "bucket-reduce gen without reducer".into(),
-                                )));
-                            };
-                            match interp.eval_block_owned(reducer, &[c.clone(), v], env) {
-                                Ok(folded) => *c = folded,
-                                Err(e) => return fail(NodeError::Eval(e)),
-                            }
-                        }
-                        (PeerVal::Collected(c), PeerVal::Collected(v)) => {
-                            c.extend(v);
-                        }
-                        _ => {
-                            return fail(NodeError::Eval(EvalError::TypeMismatch(
-                                "mismatched bucket payloads across shuffle peers".into(),
-                            )));
-                        }
+        None => {
+            let reducer = ml.gens[gi].reducer().ok_or_else(|| {
+                EvalError::TypeMismatch("bucket-reduce gen without reducer".into())
+            })?;
+            interp.eval_block_owned(reducer, &[a, b], env)
+        }
+    };
+    let mut merged: Vec<(usize, Vec<MergedBucket>)> = Vec::new();
+    let mut index: HashMap<Key, usize> = HashMap::new();
+    for it in gathered {
+        if merged.last().is_none_or(|(gi, _)| *gi != it.gen) {
+            merged.push((it.gen, Vec::new()));
+            index.clear();
+        }
+        let (gi, out) = merged.last_mut().expect("a bucket list for this generator");
+        match index.entry(Key(it.key)) {
+            Entry::Occupied(slot) => match (&mut out[*slot.get()].val, it.val) {
+                (PeerVal::Reduced(c), PeerVal::Reduced(v)) => {
+                    match reduce(*gi, std::mem::replace(c, Value::Unit), v) {
+                        Ok(folded) => *c = folded,
+                        Err(e) => return fail(NodeError::Eval(e)),
                     }
                 }
-                None => {
-                    index.insert(Key(it.key.clone()), out.len());
-                    out.push(MergedBucket {
-                        key: it.key.clone(),
-                        val: it.val.clone(),
-                        first_task: it.task,
-                        first_pos: it.pos,
-                    });
+                (PeerVal::Collected(c), PeerVal::Collected(v)) => c.extend(v),
+                _ => {
+                    return fail(NodeError::Eval(EvalError::TypeMismatch(
+                        "mismatched bucket payloads across shuffle peers".into(),
+                    )));
                 }
+            },
+            Entry::Vacant(slot) => {
+                let key = slot.key().0.clone();
+                slot.insert(out.len());
+                out.push(MergedBucket {
+                    key,
+                    val: it.val,
+                    first_task: it.task,
+                    first_pos: it.pos,
+                });
             }
         }
-        merged.push((gi, out));
-        gi_start = end;
     }
 
-    let plain: Vec<(usize, Vec<(usize, Acc)>)> =
+    let plain: Vec<(usize, Vec<(usize, NodeAcc)>)> =
         plain.into_iter().filter(|(_, v)| !v.is_empty()).collect();
     let bytes: u64 = plain
         .iter()
         .flat_map(|(_, v)| v.iter())
-        .map(|(_, a)| acc_bytes(a))
+        .map(|(_, a)| a.wire_bytes())
         .sum::<u64>()
         + merged
             .iter()
@@ -1275,6 +1458,11 @@ fn node_shuffle(
         }
         Err(e) => fail(NodeError::Runtime(e)),
     }
+}
+
+/// Whether `gen` produces buckets, which drain through the shuffle.
+fn is_bucket(gen: &Gen) -> bool {
+    matches!(gen, Gen::BucketCollect { .. } | Gen::BucketReduce { .. })
 }
 
 /// Deterministic key-to-owner mapping: `DefaultHasher` is SipHash with
@@ -1452,6 +1640,46 @@ fn acc_bytes(acc: &Acc) -> u64 {
     }
 }
 
+/// [`acc_bytes`] of the boxed equivalent of a typed accumulator, computed
+/// without boxing it.
+fn kacc_bytes(acc: &KAcc) -> u64 {
+    match acc {
+        KAcc::Col(buf) => 8 + col_bytes(buf),
+        KAcc::RedI(x) => 8 + 8 * x.is_some() as u64,
+        KAcc::RedF(x) => 8 + 8 * x.is_some() as u64,
+        KAcc::RedB(x) => 8 + x.is_some() as u64,
+        KAcc::RedV(x) => 8 + x.as_ref().map_or(0, value_bytes),
+        KAcc::BCol { keys, vals } => key_bytes(keys) + vals.iter().map(col_bytes).sum::<u64>(),
+        KAcc::BRed { keys, vals } => {
+            key_bytes(keys)
+                + match vals {
+                    RedBuf::I(v) => 8 * v.len() as u64,
+                    RedBuf::F(v) => 8 * v.len() as u64,
+                    RedBuf::B(v) => v.len() as u64,
+                    RedBuf::V(v) => v.iter().map(value_bytes).sum(),
+                }
+        }
+    }
+}
+
+/// Estimated wire size of a typed collect buffer's elements.
+fn col_bytes(buf: &ColBuf) -> u64 {
+    match buf {
+        ColBuf::I(v) => 8 * v.len() as u64,
+        ColBuf::F(v) => 8 * v.len() as u64,
+        ColBuf::B(v) => v.len() as u64,
+        ColBuf::V(v) => v.iter().map(value_bytes).sum(),
+    }
+}
+
+/// Estimated wire size of a bucket key directory's keys.
+fn key_bytes(keys: &KeyIx) -> u64 {
+    match keys {
+        KeyIx::I { keys, .. } => 8 * keys.len() as u64,
+        KeyIx::V { keys, .. } => keys.iter().map(value_bytes).sum(),
+    }
+}
+
 /// Estimated wire size of a bucket payload.
 fn peer_val_bytes(v: &PeerVal) -> u64 {
     match v {
@@ -1465,6 +1693,13 @@ fn node_error(error: NodeError, elapsed: Duration, options: &ClusterOptions) -> 
     match error {
         NodeError::Eval(e) => ExecError::Eval(e),
         NodeError::Runtime(e) => ExecError::Runtime(e),
+        // The cluster does not re-run a panicking task: its one execution
+        // is the whole retry budget.
+        NodeError::Died { task, message } => ExecError::Eval(EvalError::ChunkRetriesExhausted {
+            chunk: task,
+            attempts: 1,
+            message,
+        }),
         NodeError::Stalled(_) => deadline_error(elapsed, options),
     }
 }
@@ -1641,6 +1876,40 @@ mod tests {
                 RuntimeError::SendTimeout { .. } | RuntimeError::NodeFailed { .. },
             )) => {}
             other => panic!("expected a typed link failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cluster_report_counts_node_tiers() {
+        let (p, inputs) = map_sum_program();
+        let b = borrowed(&inputs);
+        let (_, report) = eval_cluster_measured(&p, &b, &ClusterOptions::new(2, 2)).unwrap();
+        assert!(report.cluster_loops > 0, "{report:?}");
+        assert_eq!(report.batched_loops, report.cluster_loops, "{report:?}");
+        assert_eq!(
+            report.compiled_loops,
+            report.cluster_loops + report.coordinator_loops,
+            "{report:?}"
+        );
+        assert_eq!(report.treewalk_loops, 0, "{report:?}");
+    }
+
+    #[test]
+    fn cluster_task_panic_is_a_typed_error() {
+        let (p, inputs) = map_sum_program();
+        let b = borrowed(&inputs);
+        // Task 1 panics on every execution. The panic is caught on its
+        // node and reported at once, instead of killing the node thread
+        // and leaving the coordinator to wait out the watchdog.
+        let faults = FaultPlan::new(9).repeat_failure(1);
+        let opts = ClusterOptions::new(2, 2).with_faults(faults);
+        match eval_cluster_measured(&p, &b, &opts) {
+            Err(ExecError::Eval(EvalError::ChunkRetriesExhausted {
+                chunk: 1,
+                attempts: 1,
+                message,
+            })) => assert!(message.contains("injected panic"), "{message}"),
+            other => panic!("expected a typed task failure, got {other:?}"),
         }
     }
 

@@ -510,7 +510,7 @@ impl ColBuf {
     }
 
     /// Box every element (the generic collect representation).
-    fn into_values(self) -> Vec<Value> {
+    pub(crate) fn into_values(self) -> Vec<Value> {
         match self {
             ColBuf::I(v) => v.into_iter().map(Value::I64).collect(),
             ColBuf::F(v) => v.into_iter().map(Value::F64).collect(),
@@ -601,7 +601,7 @@ impl RedBuf {
         }
     }
 
-    fn into_values(self) -> Vec<Value> {
+    pub(crate) fn into_values(self) -> Vec<Value> {
         match self {
             RedBuf::I(v) => v.into_iter().map(Value::I64).collect(),
             RedBuf::F(v) => v.into_iter().map(Value::F64).collect(),
@@ -697,7 +697,7 @@ impl KeyIx {
         }
     }
 
-    fn into_values(self) -> Vec<Value> {
+    pub(crate) fn into_values(self) -> Vec<Value> {
         match self {
             KeyIx::I { keys, .. } => keys.into_iter().map(Value::I64).collect(),
             KeyIx::V { keys, .. } => keys,
@@ -1486,6 +1486,28 @@ impl Kernel {
         st.rv[rb.params[1].idx as usize] = b;
         self.exec_block(rb, st)?;
         Ok(st.rv[rb.result.idx as usize].clone())
+    }
+
+    /// Fold two boxed reduce values of generator `gi` with its reducer:
+    /// the step [`Kernel::merge`] takes for a bucket key present in both
+    /// accumulators.
+    pub(crate) fn reduce_values(
+        &self,
+        gi: usize,
+        a: Value,
+        b: Value,
+        st: &mut KState,
+    ) -> Result<Value, EvalError> {
+        let gen = &self.gens[gi];
+        let typed = |v: Value| match (gen.val_class, v) {
+            (Class::I, Value::I64(x)) => Ok(Scalar::I(x)),
+            (Class::F, Value::F64(x)) => Ok(Scalar::F(x)),
+            (Class::B, Value::Bool(x)) => Ok(Scalar::B(x)),
+            (Class::V, v) => Ok(Scalar::V(v)),
+            _ => Err(EvalError::TypeMismatch("bucket reduce class mismatch".into())),
+        };
+        self.reduce_scalar(gen, typed(a)?, typed(b)?, st)
+            .map(scalar_value)
     }
 
     fn reduce_scalar(

@@ -212,9 +212,14 @@ impl<'p> Interp<'p> {
         self
     }
 
-    /// The rewrite fingerprint kernels are keyed under (0 = as-written).
-    pub(crate) fn fuse_fingerprint(&self) -> u64 {
-        self.fuse_fingerprint
+    /// The compiled kernel for `ml` under `env`, from this interpreter's
+    /// kernel cache and keyed under its rewrite fingerprint; `None` when
+    /// the loop must run on the tree-walker.
+    pub(crate) fn kernel_for(&self, ml: &Multiloop, env: &Env) -> Option<Arc<compile::Kernel>> {
+        match &self.kernel_cache {
+            Some(cache) => cache.kernel_for(ml, env, self.fuse_fingerprint),
+            None => compile::kernel_for(ml, env, self.fuse_fingerprint),
+        }
     }
 
     /// Run the program with named inputs, returning its result value.
@@ -320,11 +325,7 @@ impl<'p> Interp<'p> {
         use_native: bool,
     ) -> Result<(Vec<Value>, bool), EvalError> {
         if use_compiled {
-            let kernel = match &self.kernel_cache {
-                Some(cache) => cache.kernel_for(ml, env, self.fuse_fingerprint),
-                None => compile::kernel_for(ml, env, self.fuse_fingerprint),
-            };
-            if let Some(kernel) = kernel {
+            if let Some(kernel) = self.kernel_for(ml, env) {
                 let size = self
                     .eval_exp(&ml.size, env)?
                     .as_i64()

@@ -594,7 +594,7 @@ pub(crate) fn interp_eval_size(interp: &Interp<'_>, size: &Exp, env: &Env) -> Re
 }
 
 /// How one chunk execution went wrong.
-enum ChunkFailure {
+pub(crate) enum ChunkFailure {
     /// A deterministic interpreter error: retrying cannot help.
     Eval(EvalError),
     /// The worker died (real panic, or injected fault): re-executable.
@@ -664,14 +664,14 @@ struct TaskFault {
 /// writes symbols bound inside generator blocks, so instead of cloning the
 /// whole `Vec<Option<Value>>` for every chunk and every retry, each worker
 /// keeps one scratch env and refreshes just those slots per execution.
-struct ScratchEnv {
+pub(crate) struct ScratchEnv {
     env: Env,
     /// Slots possibly populated by the previous use; cleared on `prepare`.
     dirty: Vec<usize>,
 }
 
 impl ScratchEnv {
-    fn new(len: usize) -> ScratchEnv {
+    pub(crate) fn new(len: usize) -> ScratchEnv {
         ScratchEnv {
             env: vec![None; len],
             dirty: Vec::new(),
@@ -720,7 +720,7 @@ pub(crate) fn loop_touched_slots(ml: &dmll_core::Multiloop) -> (Vec<usize>, Vec<
 /// Execute one chunk's subrange on the tree-walking tier, optionally
 /// delivering an injected fault.
 #[allow(clippy::too_many_arguments)]
-fn execute_chunk(
+pub(crate) fn execute_chunk(
     interp: &Interp<'_>,
     ml: &dmll_core::Multiloop,
     env: &Env,
@@ -756,7 +756,7 @@ fn execute_chunk(
 /// read and accumulators/key directories are fresh per `run_range*` call;
 /// any failure drops the state so the next task rebuilds from the parent
 /// environment.
-enum KernelState {
+pub(crate) enum KernelState {
     Scalar(compile::KState),
     Batched(batch::BState),
 }
@@ -765,7 +765,7 @@ enum KernelState {
 /// Fault recovery re-executes with the same kernel *and the same mode*, so
 /// recovered runs stay bit-identical to the fault-free ones.
 #[allow(clippy::too_many_arguments)]
-fn execute_chunk_kernel(
+pub(crate) fn execute_chunk_kernel(
     kernel: &Kernel,
     env: &Env,
     externs: &Externs,
@@ -1318,10 +1318,7 @@ fn run_chunked(
     // very same cached kernel, so results (and fault-tolerance semantics)
     // are bit-identical to the tree-walking tier.
     let kernel = if options.use_compiled {
-        match &options.kernel_cache {
-            Some(cache) => cache.kernel_for(ml, env, interp.fuse_fingerprint()),
-            None => compile::kernel_for(ml, env, interp.fuse_fingerprint()),
-        }
+        interp.kernel_for(ml, env)
     } else {
         None
     };
